@@ -69,7 +69,7 @@ void CollectTables(const Catalog& catalog, const PlanPtr& plan,
 }
 
 /// Specialization-tier entry point shared by every compile site (eager scan
-/// attach, top-k promotion, shard coordinator): compile the bound predicate
+/// or gather-source attach, top-k promotion): compile the bound predicate
 /// to bytecode, stamp the table version it may run against, and record the
 /// decision as a "compile.specialize" span under the query's compile span
 /// (bytecode length, per-term fallback count, and the reject reason as a
@@ -101,8 +101,11 @@ std::shared_ptr<const jit::CompiledPredicate> CompileSpecialized(
 
 /// Per-query compilation state: scan bookkeeping, pending runtime-pruning
 /// attachments discovered by plan analysis, and operator back-pointers.
-struct Engine::CompileContext {
+struct Engine::CompileContext : CompiledQuery {
   struct ScanInfo {
+    ScanSource* source = nullptr;
+    /// The same operator when it is a TableScanOp; null for a source a
+    /// SourceHook built (such a query is never run by Engine::Execute).
     TableScanOp* op = nullptr;
     std::shared_ptr<Table> table;
     FilterPruneResult filter_result;
@@ -118,10 +121,14 @@ struct Engine::CompileContext {
     bool descending = true;
   };
 
-  PruningStats stats;
+  /// The operator tree points into this context: tear it down first.
+  ~CompileContext() override { root.reset(); }
+
   QueryResult* result = nullptr;
   /// Per-call options (never null during Compile/Execute).
   const ExecuteOptions* opts = nullptr;
+  /// Builds each scan's source in place of a TableScanOp (null: none).
+  SourceHook* source_hook = nullptr;
   /// The query's catalog snapshot (see TableSnapshot above).
   TableSnapshot tables;
   std::map<const PlanNode*, ScanInfo> scans;
@@ -135,11 +142,6 @@ struct Engine::CompileContext {
   std::vector<std::unique_ptr<TopKPruner>> pruners;
   std::vector<std::unique_ptr<FilterPruner>> runtime_filter_pruners;
   std::vector<PendingTopK> pending_topk;
-  /// Traced queries only: the profile the compiled operators meter into
-  /// (one ProfileNode per operator) and the operators that got one — the
-  /// engine hands them the trace pointer once the execute span exists.
-  QueryProfile* profile = nullptr;
-  std::vector<Operator*> profiled_ops;
   /// The open "compile" span id (traced queries; 0 untraced) —
   /// "compile.specialize" spans nest under it.
   uint32_t compile_span = 0;
@@ -356,8 +358,8 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
             op->set_profile(ctx->profile->NewNode("Scan", plan->table));
             ctx->profiled_ops.push_back(op.get());
           }
-          ctx->scans[plan.get()] =
-              CompileContext::ScanInfo{op.get(), table, FilterPruneResult{}};
+          ctx->scans[plan.get()] = CompileContext::ScanInfo{
+              op.get(), op.get(), table, FilterPruneResult{}};
           return OperatorPtr(std::move(op));
         }
       }
@@ -374,7 +376,19 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           config_.filter_pruning_phase == FilterPruningPhase::kCompileTime;
       if (compile_time_pruning) {
         FilterPruner pruner(plan->predicate, config_.filter);
-        filter_result = pruner.Prune(*table, full);
+        if (ctx->source_hook != nullptr && plan->predicate) {
+          // The hook may rule out whole groups of partitions before the
+          // per-partition pass (the coordinator's cross-shard probe); they
+          // count as filter-pruned.
+          const ScanSet input =
+              ctx->source_hook->FilterInput(plan->predicate, full);
+          filter_result = pruner.Prune(*table, input);
+          filter_result.pruned +=
+              static_cast<int64_t>(full.size() - input.size());
+          filter_result.input_partitions = static_cast<int64_t>(full.size());
+        } else {
+          filter_result = pruner.Prune(*table, full);
+        }
         ctx->stats.pruned_by_filter += filter_result.pruned;
       } else {
         filter_result.scan_set = full;
@@ -388,48 +402,62 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         }
       }
 
-      auto op = std::make_unique<TableScanOp>(table, filter_result.scan_set,
-                                              plan->predicate, &ctx->stats);
+      std::shared_ptr<const jit::CompiledPredicate> program;
       if (config_.exec.specialize && config_.exec.specialize_after == 0 &&
           plan->predicate) {
         // Eager mode: specialize every compiled filter at query-compile
-        // time, no promotion threshold. The program is per-query (it dies
-        // with the operator tree), so it carries no table-instance claim.
-        auto program =
-            CompileSpecialized(plan->predicate, table->schema(),
-                               /*table_instance=*/0, ctx->opts->trace,
-                               ctx->compile_span);
+        // time, no promotion threshold. Stamped with the snapshot's table
+        // version, so a source may ship it to engines sharing the snapshot.
+        program = CompileSpecialized(plan->predicate, table->schema(),
+                                     table->instance_id(), ctx->opts->trace,
+                                     ctx->compile_span);
+      }
+      std::unique_ptr<ScanSource> source;
+      TableScanOp* op = nullptr;
+      if (ctx->source_hook != nullptr) {
+        source = ctx->source_hook->MakeSource(filter_result.scan_set,
+                                              &ctx->stats, ctx->profile.get(),
+                                              std::move(program));
+      } else {
+        auto scan = std::make_unique<TableScanOp>(
+            table, filter_result.scan_set, plan->predicate, &ctx->stats);
+        op = scan.get();
         if (program != nullptr) op->set_compiled_filter(std::move(program));
+        if (config_.enable_filter_pruning && !compile_time_pruning &&
+            plan->predicate) {
+          // §3.2: pruning deferred to the execution layer. The pruner must
+          // outlive the operator tree; the compile context owns it.
+          ctx->runtime_filter_pruners.push_back(
+              std::make_unique<FilterPruner>(plan->predicate, config_.filter));
+          op->AttachRuntimeFilterPruner(
+              ctx->runtime_filter_pruners.back().get());
+        }
+        if (ctx->profile != nullptr) {
+          ProfileNode* node = ctx->profile->NewNode("Scan", plan->table);
+          op->set_profile(node);
+          op->set_profile_stats(&node->pruning);
+        }
+        if (ctx->track_source) op->set_track_source(true);
+        source = std::move(scan);
       }
-      if (config_.enable_filter_pruning && !compile_time_pruning &&
-          plan->predicate) {
-        // §3.2: pruning deferred to the execution layer. The pruner must
-        // outlive the operator tree; the compile context owns it.
-        ctx->runtime_filter_pruners.push_back(
-            std::make_unique<FilterPruner>(plan->predicate, config_.filter));
-        op->AttachRuntimeFilterPruner(ctx->runtime_filter_pruners.back().get());
-      }
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode("Scan", plan->table);
-        // Compile-time pruning attribution: this scan's share of the
+      if (ProfileNode* node = source->profile()) {
+        // Compile-time pruning attribution: this source's share of the
         // query-wide counters bumped above. Runtime deltas flow in through
-        // the profile-stats mirror; LIMIT pruning lands here from kLimit.
+        // the source's profile-stats mirror; LIMIT pruning lands here from
+        // kLimit.
         node->pruning.total_partitions += static_cast<int64_t>(full.size());
         node->pruning.pruned_by_filter += filter_result.pruned;
-        op->set_profile(node);
-        op->set_profile_stats(&node->pruning);
-        ctx->profiled_ops.push_back(op.get());
+        ctx->profiled_ops.push_back(source.get());
       }
-      if (ctx->track_source) op->set_track_source(true);
       if (auto* pending = ctx->FindPendingForScan(plan.get())) {
-        op->AttachTopKPruner(pending->pruner);
+        source->AttachTopKPruner(pending->pruner);
         ScanSet prepared = pending->pruner->Prepare(
-            *table, op->scan_set(), filter_result.fully_matching);
-        op->ReplaceScanSet(std::move(prepared));
+            *table, source->scan_set(), filter_result.fully_matching);
+        source->ReplaceScanSet(std::move(prepared));
       }
-      ctx->scans[plan.get()] =
-          CompileContext::ScanInfo{op.get(), table, std::move(filter_result)};
-      return OperatorPtr(std::move(op));
+      ctx->scans[plan.get()] = CompileContext::ScanInfo{
+          source.get(), op, table, std::move(filter_result)};
+      return OperatorPtr(std::move(source));
     }
 
     case PlanNode::Kind::kProject: {
@@ -467,13 +495,13 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           LimitPruneResult res = LimitPruner::Prune(
               *info.table, info.filter_result,
               plan->limit_k + plan->limit_offset);
-          info.op->ReplaceScanSet(res.scan_set);
+          info.source->ReplaceScanSet(res.scan_set);
           ctx->stats.pruned_by_limit += res.pruned;
           // LIMIT pruning acts on the target scan's partitions, so the
           // profile charges it to that source node (keeping the per-node
           // sum reconcilable against the query's PruningStats).
-          if (info.op->profile() != nullptr) {
-            info.op->profile()->pruning.pruned_by_limit += res.pruned;
+          if (info.source->profile() != nullptr) {
+            info.source->profile()->pruning.pruned_by_limit += res.pruned;
           }
           ctx->result->limit_class = MapOutcome(res.outcome);
         }
@@ -565,13 +593,13 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           // Restrict the scan set to cached ∪ newly-added partitions,
           // preserving the pruner-prepared order.
           std::vector<PartitionId> keep;
-          for (PartitionId pid : info.op->scan_set()) {
+          for (PartitionId pid : info.source->scan_set()) {
             if (std::find(cached->begin(), cached->end(), pid) !=
                 cached->end()) {
               keep.push_back(pid);
             }
           }
-          info.op->ReplaceScanSet(ScanSet(std::move(keep)));
+          info.source->ReplaceScanSet(ScanSet(std::move(keep)));
           ctx->result->predicate_cache_hit = true;
         }
         if (config_.exec.specialize && config_.exec.specialize_after > 0 &&
@@ -809,6 +837,69 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
   return Status::Internal("unknown plan node");
 }
 
+Result<std::unique_ptr<Engine::CompileContext>> Engine::CompileQuery(
+    const PlanPtr& plan, const ExecuteOptions& opts, uint32_t parent_span,
+    QueryResult* result, SourceHook* source_hook) {
+  auto ctx = std::make_unique<CompileContext>();
+  ctx->result = result;
+  ctx->opts = &opts;
+  ctx->source_hook = source_hook;
+  if (opts.trace != nullptr) {
+    // Traced compiles: the compiled operators meter themselves into a
+    // QueryProfile, one ProfileNode per operator.
+    ctx->profile = std::make_shared<QueryProfile>();
+    ctx->compile_span = opts.trace->BeginSpan("compile", parent_span);
+  }
+
+  // Snapshot every referenced table once: DML (ReplaceTable/DropTable) that
+  // lands after this point does not affect this query. An injected snapshot
+  // (shard coordinator, shard sub-queries) extends the same guarantee
+  // across a whole scatter.
+  if (opts.tables != nullptr) {
+    ctx->tables = *opts.tables;
+  } else {
+    CollectTables(*catalog_, plan, &ctx->tables);
+  }
+
+  auto compiled = Compile(plan, ctx.get());
+  if (opts.trace != nullptr) {
+    // Compile-time pruning decisions, readable straight off the span.
+    opts.trace->AnnotateInt(ctx->compile_span, "total_partitions",
+                            ctx->stats.total_partitions);
+    opts.trace->AnnotateInt(ctx->compile_span, "pruned_by_filter",
+                            ctx->stats.pruned_by_filter);
+    opts.trace->AnnotateInt(ctx->compile_span, "pruned_by_limit",
+                            ctx->stats.pruned_by_limit);
+    opts.trace->EndSpan(ctx->compile_span);
+  }
+  if (!compiled.ok()) return compiled.status();
+  ctx->root = std::move(compiled).value();
+  return ctx;
+}
+
+Result<std::unique_ptr<CompiledQuery>> Engine::Compile(
+    const PlanPtr& plan, const ExecuteOptions& opts, uint32_t parent_span,
+    QueryResult* result, SourceHook* source_hook) {
+  auto ctx = CompileQuery(plan, opts, parent_span, result, source_hook);
+  if (!ctx.ok()) return ctx.status();
+  return std::unique_ptr<CompiledQuery>(std::move(ctx).value());
+}
+
+void CompiledQuery::Finish(const Trace* trace, QueryResult* result) const {
+  result->schema = root->output_schema();
+  result->stats = stats;
+  // Debug-build soundness audit: no pruning level may claim more partitions
+  // than the query had (see PruningStats::DCheckInvariants).
+  result->stats.DCheckInvariants();
+  if (profile != nullptr) {
+    profile->root = root->profile();
+    profile->stage_tasks = trace->stage_tasks();
+    profile->barrier_tasks = trace->barrier_tasks();
+    result->profile = profile;
+    DCheckProfileReconciles(*profile, result->stats);
+  }
+}
+
 Result<QueryResult> Engine::Execute(const PlanPtr& plan,
                                     const std::atomic<bool>* cancel) {
   ExecuteOptions opts;
@@ -826,52 +917,21 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   }
   const std::atomic<bool>* cancel = opts.cancel;
   QueryResult result;
-  CompileContext ctx;
-  ctx.result = &result;
-  ctx.opts = &opts;
   post_run_hooks_.clear();
 
   // Traced execution: the whole call becomes one "query" span with compile
-  // and execute children, and the compiled operators meter themselves into
-  // a QueryProfile. Untraced queries skip every site on a null test.
+  // and execute children. Untraced queries skip every site on a null test.
   ScopedSpan query_span(opts.trace, "query");
-  std::shared_ptr<QueryProfile> profile;
-  if (opts.trace != nullptr) {
-    profile = std::make_shared<QueryProfile>();
-    ctx.profile = profile.get();
-  }
-  const uint32_t compile_span =
-      opts.trace != nullptr ? opts.trace->BeginSpan("compile", query_span.id())
-                            : 0;
-  ctx.compile_span = compile_span;
-
-  // Snapshot every referenced table once: DML (ReplaceTable/DropTable) that
-  // lands after this point does not affect this query. An injected snapshot
-  // (shard sub-queries) extends the same guarantee across a whole scatter.
-  if (opts.tables != nullptr) {
-    ctx.tables = *opts.tables;
-  } else {
-    CollectTables(*catalog_, plan, &ctx.tables);
-  }
-
-  auto compiled = Compile(plan, &ctx);
-  if (opts.trace != nullptr) {
-    // Compile-time pruning decisions, readable straight off the span.
-    opts.trace->AnnotateInt(compile_span, "total_partitions",
-                            ctx.stats.total_partitions);
-    opts.trace->AnnotateInt(compile_span, "pruned_by_filter",
-                            ctx.stats.pruned_by_filter);
-    opts.trace->AnnotateInt(compile_span, "pruned_by_limit",
-                            ctx.stats.pruned_by_limit);
-    opts.trace->EndSpan(compile_span);
-  }
+  auto compiled = CompileQuery(plan, opts, query_span.id(), &result,
+                               /*source_hook=*/nullptr);
   if (!compiled.ok()) {
     // Dropping the hooks releases any coalescing ticket a partial compile
     // acquired, so cache waiters are never stranded by a failed query.
     post_run_hooks_.clear();
     return compiled.status();
   }
-  OperatorPtr root = std::move(compiled).value();
+  CompileContext& ctx = *compiled.value();
+  Operator* root = ctx.root.get();
 
   // Partition-parallel execution (§2's "highly parallel execution layer"):
   // fan every scan's post-pruning scan set out across the worker pool. An
@@ -992,35 +1052,7 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   for (auto& hook : post_run_hooks_) hook();
   post_run_hooks_.clear();
 
-  result.schema = root->output_schema();
-  result.stats = ctx.stats;
-  // Debug-build soundness audit: no pruning level may claim more partitions
-  // than the query had (see PruningStats::DCheckInvariants).
-  result.stats.DCheckInvariants();
-
-  if (profile != nullptr) {
-    profile->root = root->profile();
-    profile->stage_tasks = opts.trace->stage_tasks();
-    profile->barrier_tasks = opts.trace->barrier_tasks();
-    result.profile = profile;
-#if SNOW_DCHECK_IS_ON
-    if (opts.scan_sets == nullptr) {
-      // Per-node attribution must reconcile exactly: the profile's summed
-      // pruning counters are the query's PruningStats, redistributed over
-      // the source nodes. (Scan-set overrides skip compile-time metering —
-      // the coordinator accounts the whole sharded query itself.)
-      const PruningStats sum = profile->SumPruning();
-      SNOW_DCHECK_EQ(sum.total_partitions, result.stats.total_partitions);
-      SNOW_DCHECK_EQ(sum.pruned_by_filter, result.stats.pruned_by_filter);
-      SNOW_DCHECK_EQ(sum.pruned_by_limit, result.stats.pruned_by_limit);
-      SNOW_DCHECK_EQ(sum.pruned_by_join, result.stats.pruned_by_join);
-      SNOW_DCHECK_EQ(sum.pruned_by_topk, result.stats.pruned_by_topk);
-      SNOW_DCHECK_EQ(sum.scanned_partitions, result.stats.scanned_partitions);
-      SNOW_DCHECK_EQ(sum.scanned_rows, result.stats.scanned_rows);
-      SNOW_DCHECK_EQ(sum.speculative_loads, result.stats.speculative_loads);
-    }
-#endif
-  }
+  ctx.Finish(opts.trace, &result);
   return result;
 }
 

@@ -203,6 +203,53 @@ struct ExecuteOptions {
       compiled_filters = nullptr;
 };
 
+class ScanSource;
+
+/// Builds a scan's source operator in place of a TableScanOp — the one hook
+/// into Engine::Compile, and only its scan case consults it. The shard
+/// coordinator's hook narrows the filter pass to shards its merged zone
+/// maps cannot exclude, and returns its gather source. Everything above the
+/// source (LIMIT pruning, top-k preparation, the aggregate group limit,
+/// profile wiring) compiles exactly as it does over a table scan.
+class SourceHook {
+ public:
+  virtual ~SourceHook() = default;
+  /// The partitions of `full` the filter pass examines; the rest count as
+  /// filter-pruned. Asked only under compile-time filter pruning of a scan
+  /// with a predicate.
+  virtual ScanSet FilterInput(const ExprPtr& predicate,
+                              const ScanSet& full) = 0;
+  /// The source over the filter-pruned `scan_set`. It meters runtime
+  /// pruning into `stats` and, when `profile` is set, into a profile node
+  /// of its own. `program` is the eagerly specialized scan filter, or null.
+  virtual std::unique_ptr<ScanSource> MakeSource(
+      ScanSet scan_set, PruningStats* stats, QueryProfile* profile,
+      std::shared_ptr<const jit::CompiledPredicate> program) = 0;
+};
+
+/// A compiled query: the operator tree plus the per-query state its
+/// operators point into. Must outlive the tree's execution, and never moves
+/// (the operators hold pointers into it).
+struct CompiledQuery {
+  CompiledQuery() = default;
+  CompiledQuery(const CompiledQuery&) = delete;
+  CompiledQuery& operator=(const CompiledQuery&) = delete;
+  virtual ~CompiledQuery() = default;
+  OperatorPtr root;
+  /// The query's pruning counters: compile-time passes add to them, and the
+  /// sources meter their runtime deltas into them.
+  PruningStats stats;
+  /// Traced compiles only: one node per operator, and the operators that
+  /// meter into one (they take the trace once their phase's span exists).
+  std::shared_ptr<QueryProfile> profile;
+  std::vector<Operator*> profiled_ops;
+
+  /// Once the tree has run: fills `result`'s schema, stats and profile
+  /// (traced compiles; `trace` is the compile's trace). Debug builds audit
+  /// the stats and reconcile the profile against them.
+  void Finish(const Trace* trace, QueryResult* result) const;
+};
+
 /// Compiles and executes plans against a catalog, applying the paper's four
 /// pruning techniques in their §7 order: filter pruning and LIMIT pruning at
 /// compile time; join pruning and top-k pruning at runtime via sideways
@@ -227,12 +274,25 @@ class Engine {
   /// per-batch row accounting (see ExecuteOptions).
   Result<QueryResult> Execute(const PlanPtr& plan, const ExecuteOptions& opts);
 
+  /// The compile half of Execute, for a caller that runs the operator tree
+  /// itself (the shard coordinator). Snapshots the referenced tables (or
+  /// takes `opts.tables`), records a "compile" span under `parent_span`
+  /// when `opts.trace` is set, and builds the tree; `source_hook`, when
+  /// set, builds each scan's source. LIMIT and top-k outcomes land in
+  /// `*result`.
+  Result<std::unique_ptr<CompiledQuery>> Compile(
+      const PlanPtr& plan, const ExecuteOptions& opts, uint32_t parent_span,
+      QueryResult* result, SourceHook* source_hook);
+
   const EngineConfig& config() const { return config_; }
   EngineConfig* mutable_config() { return &config_; }
 
  private:
   struct CompileContext;
 
+  Result<std::unique_ptr<CompileContext>> CompileQuery(
+      const PlanPtr& plan, const ExecuteOptions& opts, uint32_t parent_span,
+      QueryResult* result, SourceHook* source_hook);
   Result<OperatorPtr> Compile(const PlanPtr& plan, CompileContext* ctx);
 
   Catalog* catalog_;

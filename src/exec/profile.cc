@@ -3,6 +3,8 @@
 #include <functional>
 #include <sstream>
 
+#include "common/check.h"
+
 namespace snowprune {
 
 namespace {
@@ -38,6 +40,26 @@ PruningStats QueryProfile::SumPruning() const {
   PruningStats sum;
   for (const auto& node : nodes_) sum.Merge(node->pruning);
   return sum;
+}
+
+void DCheckProfileReconciles(const QueryProfile& profile,
+                             const PruningStats& stats) {
+#if SNOW_DCHECK_IS_ON
+  const PruningStats sum = profile.SumPruning();
+  SNOW_DCHECK_EQ(sum.total_partitions, stats.total_partitions);
+  SNOW_DCHECK_EQ(sum.pruned_by_filter, stats.pruned_by_filter);
+  SNOW_DCHECK_EQ(sum.pruned_by_limit, stats.pruned_by_limit);
+  SNOW_DCHECK_EQ(sum.pruned_by_join, stats.pruned_by_join);
+  SNOW_DCHECK_EQ(sum.pruned_by_topk, stats.pruned_by_topk);
+  SNOW_DCHECK_EQ(sum.scanned_partitions, stats.scanned_partitions);
+  SNOW_DCHECK_EQ(sum.scanned_rows, stats.scanned_rows);
+  SNOW_DCHECK_EQ(sum.speculative_loads, stats.speculative_loads);
+  SNOW_DCHECK_EQ(sum.shards_total, stats.shards_total);
+  SNOW_DCHECK_EQ(sum.shards_pruned, stats.shards_pruned);
+#else
+  (void)profile;
+  (void)stats;
+#endif
 }
 
 std::string QueryProfile::ToText() const {

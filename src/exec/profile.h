@@ -57,6 +57,12 @@ class QueryProfile {
   std::vector<std::unique_ptr<ProfileNode>> nodes_;
 };
 
+/// Debug builds: every pruning counter of the query's `stats` equals the
+/// profile's SumPruning() — per-node attribution redistributes the query's
+/// counters over the source nodes and loses none. No-op otherwise.
+void DCheckProfileReconciles(const QueryProfile& profile,
+                             const PruningStats& stats);
+
 /// Times one `Next`-shaped call into `node`. `next` produces the batch;
 /// `rows` reports how many rows the produced batch carries (only consulted
 /// when `next` returned true). Operators call this from a thin wrapper

@@ -26,6 +26,19 @@ namespace jit {
 struct CompiledPredicate;
 }  // namespace jit
 
+/// The operator at the bottom of a scan's pipeline: a TableScanOp, or the
+/// shard coordinator's gather source (see SourceHook in engine.h). These
+/// are the calls compile-time pruning makes on it — LIMIT pruning and top-k
+/// preparation rewrite its scan set, and the top-k boundary is consulted
+/// before each partition — so the compile above the source is one code
+/// path whichever operator it is.
+class ScanSource : public Operator {
+ public:
+  virtual const ScanSet& scan_set() const = 0;
+  virtual void ReplaceScanSet(ScanSet scan_set) = 0;
+  virtual void AttachTopKPruner(TopKPruner* pruner) = 0;
+};
+
 /// Table scan over a (compile-time pruned) scan set. One output batch per
 /// partition. Runtime pruning hooks:
 ///   - a TopKPruner attached by the planner is consulted before every load
@@ -60,7 +73,7 @@ struct CompiledPredicate;
 /// thread count — results stay correct (cutoff only ever keeps more
 /// partitions), but exact stats parity is only guaranteed with the cutoff
 /// at its default (disabled).
-class TableScanOp : public Operator {
+class TableScanOp final : public ScanSource {
  public:
   /// A worker-side stage result (type-erased; producer and consumer agree
   /// on the concrete type, e.g. HashAggregateOp's partial group map, a
@@ -80,7 +93,7 @@ class TableScanOp : public Operator {
 
   /// Planner hook (§5): the TopK operator in the same pipeline publishes
   /// boundary updates through this pruner.
-  void AttachTopKPruner(TopKPruner* pruner) { topk_pruner_ = pruner; }
+  void AttachTopKPruner(TopKPruner* pruner) override { topk_pruner_ = pruner; }
   bool has_topk_pruner() const { return topk_pruner_ != nullptr; }
 
   /// Planner hook (§3.2): deferred filter pruning. When compile-time
@@ -102,7 +115,9 @@ class TableScanOp : public Operator {
 
   /// Planner hook: replaces the scan set before execution (LIMIT pruning,
   /// top-k ordering/initialization, predicate-cache restriction).
-  void ReplaceScanSet(ScanSet scan_set) { scan_set_ = std::move(scan_set); }
+  void ReplaceScanSet(ScanSet scan_set) override {
+    scan_set_ = std::move(scan_set);
+  }
 
   /// Engine hook (specialization tier): a bytecode program compiled from
   /// this scan's filter. Each batch tries the fused executor first and falls
@@ -182,7 +197,7 @@ class TableScanOp : public Operator {
   void Close() override;
   const Schema& output_schema() const override { return table_->schema(); }
 
-  const ScanSet& scan_set() const { return scan_set_; }
+  const ScanSet& scan_set() const override { return scan_set_; }
   const std::shared_ptr<Table>& table() const { return table_; }
 
   /// Profiling hook (traced queries only): a second PruningStats that

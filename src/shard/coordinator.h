@@ -59,17 +59,22 @@ struct ShardExecConfig {
 /// Execution phases for a supported plan (a join-free single-scan chain of
 /// scan / project / limit / top-k / sort / aggregate):
 ///
-///  1. compile once: the coordinator runs the engine's compile-time pruning
-///     sequence globally — cross-shard merged-zone-map exclusion, then §3
-///     filter pruning, §5.3/§5.4 top-k ordering + boundary initialization,
-///     §4 LIMIT pruning — producing one final global scan set.
+///  1. compile: the plan goes through Engine::Compile, the same compile
+///     pipeline an unsharded query takes, with a SourceHook in the scan
+///     case. The hook narrows the filter pass to shards whose merged zone
+///     maps do not exclude the predicate, and builds a gather source in
+///     place of the table scan. The rest — §3 filter pruning, §5.3/§5.4
+///     top-k ordering + boundary initialization, §4 LIMIT pruning, the
+///     operators above the source and their profile nodes — is the
+///     engine's own code, and leaves one final global scan set on the
+///     gather source.
 ///  2. scatter: the surviving scan set is sliced by shard ownership
 ///     (partitions already skippable under the initialized top-k boundary
 ///     are dropped before contact); each surviving shard's engine executes
 ///     a bare scan sub-plan over exactly its slice, against the one shared
 ///     table snapshot, on the shared worker pool.
 ///  3. gather: per-partition row fragments are replayed, in global scan-set
-///     order, through the *real* operator pipeline (limit / top-k / sort /
+///     order, through the compiled operator tree (limit / top-k / sort /
 ///     aggregate) with the top-k boundary consulted before each partition —
 ///     the same consumer-side merge discipline the parallel engine uses, so
 ///     rows AND per-table PruningStats are byte-identical to a single-engine
@@ -77,7 +82,7 @@ struct ShardExecConfig {
 ///     counters strictly additive on top.
 ///
 /// Unsupported shapes (joins, multi-scan plans) and configurations the
-/// scatter compile cannot mirror (runtime-phase filter pruning, a predicate
+/// gather source does not cover (runtime-phase filter pruning, a predicate
 /// cache) fall back to an ordinary single engine — trivially identical.
 ///
 /// Thread safety: a coordinator executes one query at a time (the query
@@ -108,45 +113,40 @@ class ShardCoordinator {
   /// Compiles, prunes the shard map, scatters, gathers. `cancel` fans out
   /// to every in-flight shard sub-query (they share the flag) and is polled
   /// between coordinator phases.
+  ///
+  /// `trace`, when set, records compile/scatter/gather spans, gives every
+  /// contacted shard's sub-query its own child trace (stitched under the
+  /// scatter span once the scatter joins), and attaches an EXPLAIN ANALYZE
+  /// profile to the result whose per-node pruning counters — all attributed
+  /// to the gather source, where the coordinator meters — reconcile exactly
+  /// against the query's PruningStats.
+  ///
+  /// `deadline_ns` is an absolute steady-clock deadline (0 = none). It fans
+  /// out to every shard sub-query and is checked between coordinator phases
+  /// and before each retry backoff; past it the query returns
+  /// kDeadlineExceeded.
   Result<QueryResult> Execute(const PlanPtr& plan,
-                              const std::atomic<bool>* cancel = nullptr);
-
-  /// Traced execution: records compile/scatter/gather spans on `trace`,
-  /// gives every contacted shard's sub-query its own child trace (stitched
-  /// under the scatter span once the scatter joins), and attaches an
-  /// EXPLAIN ANALYZE profile to the result whose per-node pruning counters
-  /// — all attributed to the gather source, where the coordinator meters —
-  /// reconcile exactly against the query's PruningStats. Null `trace`
-  /// behaves like the plain overload.
-  Result<QueryResult> Execute(const PlanPtr& plan,
-                              const std::atomic<bool>* cancel, Trace* trace);
-
-  /// Full-control entry point: adds a per-query deadline (absolute
-  /// steady-clock ns, 0 = none). The deadline fans out to every shard
-  /// sub-query and is checked between coordinator phases and before each
-  /// retry backoff; past it the query returns kDeadlineExceeded.
-  Result<QueryResult> Execute(const PlanPtr& plan,
-                              const std::atomic<bool>* cancel, Trace* trace,
-                              int64_t deadline_ns);
+                              const std::atomic<bool>* cancel = nullptr,
+                              Trace* trace = nullptr, int64_t deadline_ns = 0);
 
   const ExecInfo& last_exec() const { return last_exec_; }
   const ShardExecConfig& config() const { return config_; }
 
  private:
-  struct GatherCompile;
-
   Result<QueryResult> ExecuteSharded(const PlanPtr& plan,
-                                     const PlanNode* scan_node,
+                                     const PlanNode& scan_node,
+                                     std::shared_ptr<Table> table,
                                      const std::atomic<bool>* cancel,
                                      Trace* trace, int64_t deadline_ns);
-  Result<OperatorPtr> CompileGather(const PlanPtr& plan, GatherCompile* ctx);
   /// The cached shard map for the table version, rebuilt after DML swapped
   /// the table object (instance_id mismatch).
   const ShardMap& MapFor(const std::string& name, const Table& table);
 
   Catalog* catalog_;
   ShardExecConfig config_;
-  Engine fallback_;
+  /// Compiles every sharded query (with the gather source hooked in) and
+  /// runs the plans that fall back to a single engine.
+  Engine engine_;
   std::vector<std::unique_ptr<Engine>> shard_engines_;
   std::map<std::string, ShardMap> map_cache_;
   ExecInfo last_exec_;

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/trace.h"
+#include "exec/profile.h"
 #include "expr/builder.h"
 #include "service/query_service.h"
 #include "shard/coordinator.h"
@@ -197,6 +199,85 @@ TEST(ShardExecTest, GatherMergeIsDeterministicAcrossShardAndThreadCounts) {
         EXPECT_TRUE(coordinator.last_exec().sharded) << ctx;
         ASSERT_EQ(Serialize(serial), Serialize(result.value())) << ctx;
         ASSERT_EQ(DiffStats(serial.stats, result.value().stats), "") << ctx;
+      }
+    }
+  }
+}
+
+/// Renders a profile tree as "name rows=N(children...)", with `source`
+/// standing in for the scan node's name.
+std::string ProfileShape(const ProfileNode* node, const std::string& source) {
+  if (node == nullptr) return "null";
+  std::string out = (node->name == "Scan" ? source : node->name) +
+                    " rows=" + std::to_string(node->rows_out) + "(";
+  for (const ProfileNode* child : node->children) {
+    out += ProfileShape(child, source) + ";";
+  }
+  return out + ")";
+}
+
+/// The coordinator compiles through the engine's one compile pipeline, so a
+/// traced sharded query builds the same operator tree a traced single engine
+/// does — same nodes, same structure, same rows per node — with the gather
+/// source where the table scan was.
+TEST(ShardExecTest, TracedGatherTreeMatchesSingleEngineTree) {
+  Catalog catalog;
+  Schema schema({Field{"key", DataType::kInt64, false},
+                 Field{"val", DataType::kFloat64, true},
+                 Field{"cat", DataType::kString, false}});
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 96; ++i) {
+    Value val = i % 5 == 0 ? Value() : Value(i * 0.75 - 20.0);
+    rows.push_back({Value(i), val, Value("c" + std::to_string(i % 4))});
+  }
+  ASSERT_TRUE(catalog.RegisterTable(MakeTable("g", schema, rows, 8)).ok());
+
+  ExprPtr pred = Gt(Col("key"), Lit(int64_t{10}));
+  const PlanPtr plans[] = {
+      AggregatePlan(ScanPlan("g", pred), {"cat"},
+                    {AggPlanSpec{AggFunc::kCount, "", "n"},
+                     AggPlanSpec{AggFunc::kSum, "key", "key_sum"}}),
+      TopKPlan(ScanPlan("g", pred), "key", true, 7),
+      TopKPlan(AggregatePlan(ScanPlan("g"), {"key"},
+                             {AggPlanSpec{AggFunc::kCount, "", "n"}}),
+               "key", false, 5),
+      SortPlan(ScanPlan("g", pred), "val", true),
+      LimitPlan(ScanPlan("g", pred), 13),
+      LimitPlan(ProjectPlan(ScanPlan("g", pred), {Col("key"), Col("cat")},
+                            {"key", "cat"}),
+                20, 3),
+  };
+  for (size_t i = 0; i < sizeof(plans) / sizeof(plans[0]); ++i) {
+    EngineConfig serial_config;
+    serial_config.exec.num_threads = 1;
+    Engine engine(&catalog, serial_config);
+    Trace engine_trace;
+    ExecuteOptions opts;
+    opts.trace = &engine_trace;
+    auto serial = engine.Execute(plans[i], opts);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    ASSERT_NE(serial.value().profile, nullptr);
+    const std::string expected =
+        ProfileShape(serial.value().profile->root, "Gather");
+    for (size_t shards : {1u, 2u, 4u}) {
+      for (int threads : {1, 4}) {
+        ShardExecConfig config;
+        config.num_shards = shards;
+        config.engine.exec.num_threads = threads;
+        ShardCoordinator coordinator(&catalog, config);
+        Trace trace;
+        auto result = coordinator.Execute(plans[i], nullptr, &trace);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        const std::string ctx = "plan " + std::to_string(i) + " shards " +
+                                std::to_string(shards) + " threads " +
+                                std::to_string(threads);
+        ASSERT_TRUE(coordinator.last_exec().sharded) << ctx;
+        ASSERT_NE(result.value().profile, nullptr) << ctx;
+        EXPECT_EQ(ProfileShape(result.value().profile->root, "Scan"),
+                  expected)
+            << ctx;
+        EXPECT_EQ(Serialize(serial.value()), Serialize(result.value()))
+            << ctx;
       }
     }
   }
